@@ -281,7 +281,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["auto", "apsp", "ch", "hub_labels", "dijkstra"],
                         help="distance backend: dense all-pairs matrix, contraction "
                              "hierarchy, flat hub labels, or cached Dijkstra; 'auto' "
-                             "picks by network size (all are value-exact)")
+                             "picks by network size (all agree with Dijkstra "
+                             "to within 1e-12 relative)")
     parser.add_argument("--cancellation-rate", type=float, default=0.0,
                         help="per-request rider-cancellation probability (event engine only)")
     parser.add_argument("--shift-hours", type=float, default=0.0,

@@ -98,8 +98,8 @@ def make_shard_oracle(instance, config, num_shards: int):
     """Shard-local oracle per ``shard_oracle_backend`` (``None`` = shared).
 
     Mirrors ``ShardedDispatcher._make_shard_oracle`` for a single shard: the
-    oracle answers over the full network, so every backend stays value-exact
-    with the shared one.
+    oracle answers over the full network, so every backend stays within 1e-12
+    relative of the shared one.
 
     When the instance oracle carries a content-addressed artifact store, the
     shard-local oracle shares its root: cold starts warm-load preprocessed
@@ -107,6 +107,13 @@ def make_shard_oracle(instance, config, num_shards: int):
     ``refresh_topology`` after the instance oracle already rebuilt (and
     saved) the mutated topology warm-starts from the store instead of
     rebuilding per shard.
+
+    A ``ch`` shard oracle over a ``ch`` instance oracle takes a copy of the
+    instance oracle's hierarchy. After live closures that hierarchy is the
+    incremental refresh in the original contraction order, which a fresh
+    build of the mutated network would not reproduce bit for bit; copying
+    it gives a replica respawned after a closure the same hierarchy as the
+    survivors, which have refreshed theirs alongside.
     """
     mode = config.shard_oracle_backend
     if mode == "shared":
@@ -119,7 +126,10 @@ def make_shard_oracle(instance, config, num_shards: int):
         mode = select_backend_name(instance.network.csr.num_vertices, query_volume_hint=hint)
     store = getattr(instance.oracle, "artifact_store", None)
     artifact_dir = store.root if store is not None else None
-    return DistanceOracle(instance.network, backend=mode, artifact_dir=artifact_dir)
+    hierarchy = instance.oracle.contraction_hierarchy if mode == "ch" else None
+    return DistanceOracle(
+        instance.network, backend=mode, artifact_dir=artifact_dir, hierarchy=hierarchy
+    )
 
 
 class ShardWorkerRuntime:

@@ -76,8 +76,9 @@ class DispatcherConfig:
             locality-appropriate backend from the full network size (the
             graph the index is built on) and each shard's expected query
             share. Shards resolving to the same backend share one oracle
-            build; all backends stay value-exact (they answer over the full
-            network), so only counter attribution moves into the shards.
+            build; every backend answers over the full network to within
+            1e-12 relative of the shared one, and a ``ch`` shard oracle over
+            a ``ch`` instance oracle copies its hierarchy.
     """
 
     grid_cell_metres: float = 2000.0

@@ -7,15 +7,19 @@ many-to-many distance queries, the oracle owns counting/caching policy, and
 :func:`select_backend_name` picks a backend from the network size and the
 expected query volume.
 
-Backends (all **value-exact**: the same floats, hence the same simulation
-outcomes — the property tests and ``benchmarks/bench_oracle.py`` assert it):
+Backends (all agree with single-source Dijkstra to within 1e-12 relative,
+which the property tests assert; only ``apsp``, whose rows are single-source
+Dijkstra runs, is bit-exact — the ``dijkstra`` backend's bidirectional
+point-to-point search, ``ch`` and ``hub_labels`` add a path up from two
+halves, so their last bits can differ):
 
 * ``"apsp"``       — dense all-pairs matrix; O(1) lookups, O(N^2) memory and
   N Dijkstras to build. The fastest choice up to a few thousand vertices.
 * ``"ch"``         — contraction hierarchy (:mod:`repro.network.ch`);
   near-linear build, tiny upward searches per query, bucket-based
   many-to-many batches. The sweet spot for city-scale networks where the
-  dense matrix stops fitting.
+  dense matrix stops fitting. A live network change re-contracts it
+  incrementally in its existing order (:func:`refresh_backend`).
 * ``"hub_labels"`` — array-native pruned 2-hop labels
   (:mod:`repro.network.hub_labeling`); higher build cost than CH but flat
   merge-join queries, the O(1)-query regime the paper assumes.
@@ -36,7 +40,11 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.exceptions import DisconnectedError
-from repro.network.ch import ContractionHierarchy, build_contraction_hierarchy
+from repro.network.ch import (
+    ContractionHierarchy,
+    build_contraction_hierarchy,
+    refresh_contraction_hierarchy,
+)
 from repro.network.graph import RoadNetwork, Vertex
 from repro.network.hub_labeling import HubLabels, build_hub_labels
 from repro.network.shortest_path import (
@@ -94,8 +102,9 @@ class DistanceBackend(Protocol):
     All methods answer in seconds of travel time; ``inf`` (or
     :class:`~repro.exceptions.DisconnectedError` for the Dijkstra backend,
     matching the seed behaviour) marks disconnected pairs. Implementations
-    must be value-exact: every float equals what the reference Dijkstra
-    machinery computes for the same pair.
+    must be exact up to floating-point association: every float is within
+    1e-12 relative of what the reference Dijkstra machinery computes for
+    the same pair.
     """
 
     name: str
@@ -455,6 +464,22 @@ def make_backend(
     raise ValueError(f"unknown distance backend {name!r}; available: {BACKEND_NAMES}")
 
 
+def refresh_backend(
+    backend: DistanceBackend, network: RoadNetwork, host: "DistanceOracle"
+) -> DistanceBackend:
+    """The same kind of backend for the current topology of ``network``.
+
+    A contraction hierarchy is re-contracted incrementally in its existing
+    order (:func:`~repro.network.ch.refresh_contraction_hierarchy`): the
+    result equals contracting the new network in that order. Every other
+    backend is rebuilt from scratch.
+    """
+    if isinstance(backend, CHBackend):
+        hierarchy = refresh_contraction_hierarchy(backend.hierarchy, network)
+        return CHBackend(network, host, hierarchy=hierarchy)
+    return make_backend(backend.name, network, host)
+
+
 __all__ = [
     "APSP_VERTEX_LIMIT",
     "BACKEND_NAMES",
@@ -465,6 +490,7 @@ __all__ = [
     "DistanceBackend",
     "HubLabelBackend",
     "make_backend",
+    "refresh_backend",
     "select_backend_name",
     "build_contraction_hierarchy",
 ]

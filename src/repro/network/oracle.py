@@ -56,9 +56,11 @@ from repro.network.backends import (
     DistanceBackend,
     HubLabelBackend,
     make_backend,
+    refresh_backend,
     select_backend_name,
 )
 from repro.network.cache import LRUCache
+from repro.network.ch import ContractionHierarchy
 from repro.network.graph import RoadNetwork, Vertex
 from repro.network.hub_labeling import HubLabels
 from repro.network.landmarks import LandmarkIndex
@@ -166,8 +168,10 @@ class DistanceOracle:
             only), ``"hub_labels"`` or ``"apsp"``; superseded by ``backend``.
         backend: distance backend name — ``"apsp"``, ``"ch"``,
             ``"hub_labels"``, ``"dijkstra"`` or ``"auto"`` (pick by network
-            size / ``query_volume_hint``). All backends are value-exact; they
-            differ only in build cost and query speed.
+            size / ``query_volume_hint``). All backends agree with
+            single-source Dijkstra to within 1e-12 relative (``apsp`` bit
+            for bit; the others may sum a path from two halves); they
+            differ in build cost and query speed.
         cache_size: capacity of the distance LRU cache.
         path_cache_size: capacity of the path LRU cache.
         landmark_index: optional :class:`LandmarkIndex` to sharpen lower bounds.
@@ -181,6 +185,11 @@ class DistanceOracle:
             ``"auto"`` policy also prefers ``hub_labels`` over ``ch`` when a
             cached labelling already exists — its higher build cost is sunk,
             leaving only its faster queries.
+        hierarchy: a contraction hierarchy of ``network``'s current
+            topology to serve ``backend="ch"`` from instead of building or
+            loading one; the oracle attaches a copy with its own search
+            counters. Shard-local oracles take the instance oracle's, so
+            every replica holds the hierarchy the instance oracle holds.
     """
 
     def __init__(
@@ -194,6 +203,7 @@ class DistanceOracle:
         backend: str | None = None,
         query_volume_hint: int | None = None,
         artifact_dir: str | Path | None = None,
+        hierarchy: ContractionHierarchy | None = None,
     ) -> None:
         self.network = network
         self._distance_cache: LRUCache[tuple[Vertex, Vertex], float] = LRUCache(cache_size)
@@ -240,14 +250,18 @@ class DistanceOracle:
         self.counters = OracleCounters(
             distance_cache=self._distance_cache, path_cache=self._path_cache
         )
-        if self.artifact_store is not None and backend in PERSISTABLE_BACKENDS:
+        #: whether the backend state came from the artifact store
+        self.artifact_loaded = False
+        if hierarchy is not None:
+            if backend != "ch":
+                raise ValueError(f"a contraction hierarchy cannot serve backend {backend!r}")
+            self._backend = CHBackend(network, self, hierarchy=hierarchy.copy())
+        elif self.artifact_store is not None and backend in PERSISTABLE_BACKENDS:
             self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
                 backend, network, self, content_hash=self.content_hash
             )
         else:
             self._backend = make_backend(backend, network, self)
-            #: whether the backend state came from the artifact store
-            self.artifact_loaded = False
         self.counters.backend = self._backend.name
         self.counters.cache_bypassed = not self._backend.uses_distance_cache
         self._landmarks = landmark_index
@@ -532,6 +546,13 @@ class DistanceOracle:
         """Whether a contraction hierarchy is attached."""
         return isinstance(self._backend, CHBackend)
 
+    @property
+    def contraction_hierarchy(self) -> ContractionHierarchy | None:
+        """The attached contraction hierarchy, if any."""
+        if isinstance(self._backend, CHBackend):
+            return self._backend.hierarchy
+        return None
+
     def cache_statistics(self) -> dict[str, float | str]:
         """Hit rates and sizes of the distance/path caches.
 
@@ -572,14 +593,25 @@ class DistanceOracle:
         self.reset_counters()
 
     def refresh_topology(self) -> None:
-        """Rebuild the distance backend after a road-network mutation.
+        """Refresh the distance backend after a road-network mutation.
 
         Street closures/reopenings (``RoadNetwork.remove_edge`` /
-        ``add_edge``) invalidate every precomputed distance: the backend is
-        rebuilt against the mutated network (same backend kind), the CSR
-        snapshot is re-taken, and both LRU caches are dropped. With an
-        artifact store attached, the content hash is recomputed first so the
-        rebuilt backend is stored/loaded under the *new* topology's key.
+        ``add_edge``) invalidate precomputed distances: the backend is
+        refreshed against the mutated network (same backend kind), the CSR
+        snapshot is re-taken, and both LRU caches are dropped. A contraction
+        hierarchy is re-contracted incrementally in its existing order,
+        re-running only the contraction steps that can see the change; the
+        result is exactly a full contraction of the new network in that
+        order, and a network back at its built topology gets the original
+        hierarchy back bit for bit. A hierarchy without a step record
+        (loaded from a store) or a change of the vertex set falls back to a
+        full build, and the other backends are always rebuilt.
+
+        With an artifact store attached, the content hash is recomputed
+        first and the backend is loaded from (or built canonically and saved
+        to) the store under the *new* topology's key — the store's contract
+        is content hash → canonical build, so this path never refreshes
+        incrementally.
 
         Query counters keep accumulating across the refresh — a mid-run
         closure should not zero the run's reported query counts. A landmark
@@ -591,15 +623,12 @@ class DistanceOracle:
         backend_name = self._backend.name
         if self.artifact_store is not None:
             self.content_hash = network_content_hash(network)
-            if backend_name in PERSISTABLE_BACKENDS:
-                self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
-                    backend_name, network, self, content_hash=self.content_hash
-                )
-            else:
-                self._backend = make_backend(backend_name, network, self)
-                self.artifact_loaded = False
+        if self.artifact_store is not None and backend_name in PERSISTABLE_BACKENDS:
+            self._backend, self.artifact_loaded = self.artifact_store.load_or_build(
+                backend_name, network, self, content_hash=self.content_hash
+            )
         else:
-            self._backend = make_backend(backend_name, network, self)
+            self._backend = refresh_backend(self._backend, network, self)
             self.artifact_loaded = False
         self._landmarks = None
         self._distance_cache.clear()

@@ -165,7 +165,7 @@ class ShardedDispatcher(Dispatcher):
 
         A shard-local oracle answers over the **full** network (escalated
         requests still need cross-shard distances, and full-network answers
-        keep every backend value-exact with the shared oracle), so the
+        keep every backend within 1e-12 relative of the shared oracle), so the
         ``"auto"`` size policy consults the full vertex count — the graph
         the index is actually built on — while the shard's expected share of
         the query volume supplies the locality signal (a shard expecting a
@@ -173,6 +173,9 @@ class ShardedDispatcher(Dispatcher):
         amortising a build it will never pay off). Shards resolving to the
         same backend share one oracle — one build, not K — with per-shard
         attribution handled by the counter deltas around each inner call.
+        A ``ch`` shard oracle over a ``ch`` instance oracle copies its
+        hierarchy instead of building one, exactly as the cluster's
+        :func:`~repro.cluster.worker.make_shard_oracle` does.
         """
         mode = self.config.shard_oracle_backend
         if mode == "shared":
@@ -187,7 +190,8 @@ class ShardedDispatcher(Dispatcher):
             )
         oracle = self._shard_oracles.get(mode)
         if oracle is None:
-            oracle = DistanceOracle(instance.network, backend=mode)
+            hierarchy = instance.oracle.contraction_hierarchy if mode == "ch" else None
+            oracle = DistanceOracle(instance.network, backend=mode, hierarchy=hierarchy)
             self._shard_oracles[mode] = oracle
         return oracle
 

@@ -37,7 +37,8 @@ class ShardFleetView:
         members: the worker ids currently bucketed in the shard; the set is
             owned (and mutated) by the sharded dispatcher.
         oracle: optional shard-local distance oracle (a locality-appropriate
-            backend over the full network, value-exact with the shared one);
+            backend over the full network, within 1e-12 relative of the
+            shared one);
             ``None`` exposes the fleet's shared oracle.
     """
 

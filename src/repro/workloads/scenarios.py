@@ -98,8 +98,8 @@ class ScenarioConfig:
             for networks up to a couple thousand vertices, a contraction
             hierarchy beyond, flat hub labels for very large graphs),
             ``"apsp"``, ``"ch"``, ``"hub_labels"`` or ``"dijkstra"``. Every
-            backend is value-exact; the choice only trades build cost
-            against query speed.
+            backend agrees with Dijkstra to within 1e-12 relative; the
+            choice trades build cost against query speed.
         cancellation_rate: probability that a rider cancels their request
             between release and deadline (0 disables; requires the event
             kernel).
@@ -211,8 +211,10 @@ def make_oracle(network: RoadNetwork, config: ScenarioConfig) -> DistanceOracle:
     (the regime of the synthetic cities), a contraction hierarchy for
     city-scale graphs, flat hub labels beyond; the paper similarly assumes
     an effectively O(1) shortest-distance oracle (hub labelling + LRU
-    cache). Every backend is value-exact, so the choice never changes
-    simulation outcomes.
+    cache). Every backend agrees with single-source Dijkstra to within
+    1e-12 relative (``apsp`` bit for bit; the others may sum a path from two
+    halves, so their last bits can differ, which can flip exact ties
+    between candidate insertions).
     """
     if config.oracle_backend is not None:
         mode = config.oracle_backend

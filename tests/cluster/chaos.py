@@ -258,6 +258,12 @@ class UpdateAction:
             )
 
 
+def _reopen(network, edge) -> None:
+    network.add_edge(
+        edge.u, edge.v, length=edge.length, speed=edge.speed, road_class=edge.road_class
+    )
+
+
 def closure_plan(
     instance,
     *,
@@ -267,11 +273,11 @@ def closure_plan(
 ) -> tuple[UpdateAction, ...]:
     """A deterministic timed close→reopen plan over connectivity-safe edges.
 
-    Edges are picked in iteration order, skipping any whose removal would
-    disconnect the network; the closure lands at the release time of the
-    request ``close_fraction`` of the way through the workload and reopens
-    at ``reopen_fraction``, so kills anchored before/during/after the update
-    window land inside live traffic.
+    Edges are picked in iteration order, skipping any whose removal (on top
+    of the streets already picked) would disconnect the network; the
+    closures land at the release time of the request ``close_fraction`` of
+    the way through the workload and reopen at ``reopen_fraction``, so kills
+    anchored before/during/after the update window land inside live traffic.
     """
     network = instance.network
     releases = sorted(request.release_time for request in instance.requests)
@@ -281,14 +287,15 @@ def closure_plan(
     for edge in list(network.edges()):
         if len(picked) >= closures:
             break
+        # picked streets stay closed while the next is tried, so the plan's
+        # closures keep the network connected together, not just one by one
         removed = network.remove_edge(edge.u, edge.v)
-        keep = connected_components(network).count == 1
-        network.add_edge(
-            removed.u, removed.v, length=removed.length, speed=removed.speed,
-            road_class=removed.road_class,
-        )
-        if keep:
+        if connected_components(network).count == 1:
             picked.append(removed)
+        else:
+            _reopen(network, removed)
+    for removed in picked:
+        _reopen(network, removed)
     actions = []
     for edge in picked:
         actions.append(UpdateAction(
@@ -332,6 +339,30 @@ def result_fingerprint(result) -> dict:
     }
 
 
+def replay_with_updates(service, instance, updates: tuple = ()):
+    """Drive ``instance``'s requests through an open ``service`` session.
+
+    With a timed :class:`UpdateAction` plan the submissions interleave with
+    ``advance_to`` + ``apply_network_update`` exactly the way the scenario
+    runner drives disruption programs; returns the drained result.
+    """
+    if not updates:
+        return service.replay()
+    timeline = sorted(updates, key=lambda action: action.time)
+    cursor = 0
+    for request in instance.requests:
+        while cursor < len(timeline) and timeline[cursor].time <= request.release_time:
+            action = timeline[cursor]
+            service.advance_to(action.time)
+            service.apply_network_update(action.apply)
+            cursor += 1
+        service.submit(request)
+    for action in timeline[cursor:]:
+        service.advance_to(action.time)
+        service.apply_network_update(action.apply)
+    return service.drain()
+
+
 def run_chaos(
     inner: str,
     faults=(),
@@ -346,6 +377,7 @@ def run_chaos(
     restart_delay_s: float = 0.0,
     instance=None,
     updates: tuple = (),
+    shard_oracle_backend: str = "shared",
 ) -> ChaosRun:
     """Replay the chaos scenario through a cluster session with ``faults``.
 
@@ -353,11 +385,12 @@ def run_chaos(
     without real sleeps (jitter × 0 = 0); the retry *path* is identical.
 
     ``updates`` is an optional timed :class:`UpdateAction` plan (see
-    :func:`closure_plan`); when present the replay interleaves submissions
-    with ``advance_to`` + ``apply_network_update`` exactly the way the
-    scenario runner drives disruption programs.
+    :func:`closure_plan`), replayed by :func:`replay_with_updates`.
     """
-    config_kwargs = {"grid_cell_metres": scenario.grid_km * 1000.0}
+    config_kwargs = {
+        "grid_cell_metres": scenario.grid_km * 1000.0,
+        "shard_oracle_backend": shard_oracle_backend,
+    }
     if batch_interval is not None:
         config_kwargs["batch_interval"] = batch_interval
     injector = ChaosInjector(faults) if faults else None
@@ -378,27 +411,7 @@ def run_chaos(
     )
     dispatcher = service.dispatcher
     with service:
-        if updates:
-            timeline = sorted(updates, key=lambda action: action.time)
-            cursor = 0
-            for request in instance.requests:
-                while (
-                    cursor < len(timeline)
-                    and timeline[cursor].time <= request.release_time
-                ):
-                    action = timeline[cursor]
-                    service.advance_to(action.time)
-                    service.apply_network_update(action.apply)
-                    cursor += 1
-                service.submit(request)
-            while cursor < len(timeline):
-                action = timeline[cursor]
-                service.advance_to(action.time)
-                service.apply_network_update(action.apply)
-                cursor += 1
-            result = service.drain()
-        else:
-            result = service.replay()
+        result = replay_with_updates(service, instance, updates)
     return ChaosRun(
         result=result,
         fingerprint=result_fingerprint(result),
@@ -426,6 +439,7 @@ __all__ = [
     "Fault",
     "UpdateAction",
     "closure_plan",
+    "replay_with_updates",
     "result_fingerprint",
     "run_chaos",
     "seeded_faults",

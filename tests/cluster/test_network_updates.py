@@ -17,15 +17,24 @@ The properties gated here:
 * the replica ordinal cursor is exactly-once: a duplicated update command is
   refused, never silently re-applied;
 * update telemetry flows end to end (dispatcher counters → snapshot →
-  ``SimulationResult.extra``).
+  ``SimulationResult.extra``);
+* with shard-local contraction hierarchies, a replica respawned between a
+  closure and its reopening holds the survivors' incrementally refreshed
+  hierarchy, so the replay stays bit-identical to the fault-free run and to
+  the in-process ``sharded:`` run.
 """
+
+import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster.messages import NetworkUpdateCommand, UpdateReply
 from repro.cluster.recovery import ShardHealth
 from repro.cluster.service import ClusterMatchingService
-from repro.dispatch import DispatcherConfig
+from repro.cluster.worker import make_shard_oracle
+from repro.dispatch import DispatcherConfig, make_dispatcher
+from repro.service.facade import MatchingService
 from repro.workloads.scenarios import build_instance
 
 from tests.cluster.chaos import (
@@ -33,6 +42,8 @@ from tests.cluster.chaos import (
     DEFAULT_SHARDS,
     Fault,
     closure_plan,
+    replay_with_updates,
+    result_fingerprint,
     run_chaos,
 )
 
@@ -181,3 +192,68 @@ def test_worker_rejects_duplicate_update():
         reply = handle.connection.recv()
         assert isinstance(reply, UpdateReply)
         assert reply.error is not None and "out of sync" in reply.error
+
+
+# ------------------------------------------ shard-local CH across a respawn
+
+CH_SCENARIO = replace(DEFAULT_SCENARIO, oracle_backend="ch")
+
+
+def _in_process_sharded_ch(plan) -> dict:
+    instance = build_instance(CH_SCENARIO)
+    config = DispatcherConfig(
+        grid_cell_metres=CH_SCENARIO.grid_km * 1000.0,
+        num_shards=DEFAULT_SHARDS,
+        shard_oracle_backend="ch",
+    )
+    dispatcher = make_dispatcher("sharded:pruneGreedyDP", config)
+    return result_fingerprint(
+        replay_with_updates(MatchingService(instance, dispatcher), instance, plan)
+    )
+
+
+@pytest.fixture(scope="module")
+def ch_plan():
+    # three streets: on this grid a fresh build of the closed network then
+    # answers some distances a few ULP apart from the incremental refresh
+    return closure_plan(build_instance(CH_SCENARIO), closures=3)
+
+
+def test_ch_shard_respawn_between_close_and_reopen_bit_identical(ch_plan):
+    plan = ch_plan
+    kwargs = {"scenario": CH_SCENARIO, "updates": plan, "shard_oracle_backend": "ch"}
+    clean = run_chaos("pruneGreedyDP", **kwargs)
+    assert clean.network_updates == len(plan) == 6
+    # killed once the closure is acknowledged: the respawned replica is built
+    # on the closed network and must then follow the reopening like the rest
+    chaos = run_chaos(
+        "pruneGreedyDP",
+        [Fault("kill", shard=1, at_update=0, window="after")],
+        **kwargs,
+    )
+    assert chaos.fired == [("kill_after_update", 1, 0)]
+    assert chaos.worker_restarts == 1
+    assert chaos.fingerprint == clean.fingerprint
+    assert clean.fingerprint == _in_process_sharded_ch(plan)
+    assert chaos.orphans == []
+
+
+def test_respawned_ch_shard_oracle_holds_the_survivors_hierarchy(ch_plan):
+    instance = build_instance(CH_SCENARIO)
+    config = DispatcherConfig(shard_oracle_backend="ch")
+    survivor = make_shard_oracle(instance, config, DEFAULT_SHARDS)
+    for action in ch_plan:
+        if action.kind == "close":
+            action.apply(instance.network)
+    instance.oracle.refresh_topology()
+    survivor.refresh_topology()
+    # a respawn unpickles the live instance and builds its shard oracle there
+    respawned = make_shard_oracle(
+        pickle.loads(pickle.dumps(instance)), config, DEFAULT_SHARDS
+    )
+    expected = survivor.contraction_hierarchy
+    actual = respawned.contraction_hierarchy
+    assert actual.rank == expected.rank
+    assert actual.up_indptr == expected.up_indptr
+    assert actual.up_indices == expected.up_indices
+    assert actual.up_costs == expected.up_costs
