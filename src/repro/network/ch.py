@@ -495,11 +495,17 @@ def refresh_contraction_hierarchy(
     shortcut_costs = memoryview(steps.shortcut_costs)
     up_indptr = hierarchy.up_indptr
     up_indices = hierarchy.up_indices
+    # replayed endpoints reuse the CSR's own int objects, as a build's do:
+    # upward searches run measurably slower over freshly boxed ones
+    interned = list(range(csr.num_vertices))
+    for x in csr.indices_list:
+        interned[x] = x
+    intern = interned.__getitem__
     for step, v in enumerate(order):
         low, high = shortcut_indptr[step], shortcut_indptr[step + 1]
         recorded = zip(
-            shortcut_a[low:high].tolist(),
-            shortcut_b[low:high].tolist(),
+            map(intern, shortcut_a[low:high].tolist()),
+            map(intern, shortcut_b[low:high].tolist()),
             shortcut_costs[low:high].tolist(),
         )
         step_reads = reads[read_indptr[step]:read_indptr[step + 1]]
